@@ -52,7 +52,7 @@ from typing import List, Optional
 
 from repro.analysis.metrics import contention_by_object
 from repro.core.config import SimConfig
-from repro.core.predictor import compile_trace, predict, predict_speedup
+from repro.core.predictor import compile_trace, predict, sweep_speedup
 from repro.core.timebase import to_seconds
 from repro.recorder import logfile
 from repro.visualizer.ascii_render import render_ascii
@@ -602,12 +602,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     plan = compile_trace(trace)
     print(f"{trace.meta.program}: {len(trace)} events, "
           f"{len(trace.thread_ids())} threads")
-    for cpus in args.cpus:
-        pred = predict_speedup(
-            trace, cpus, base_config=_config_from(args, cpus), plan=plan
-        )
+    # one base config (and one --profile read); the sweep sets each CPU count
+    base = _config_from(args, 1)
+    for pred in sweep_speedup(trace, args.cpus, base_config=base, plan=plan):
         print(
-            f"  {cpus:>2} CPUs: predicted speed-up {pred.speedup:.2f} "
+            f"  {pred.cpus:>2} CPUs: predicted speed-up {pred.speedup:.2f} "
             f"({to_seconds(pred.makespan_us):.3f}s vs "
             f"{to_seconds(pred.uniprocessor_us):.3f}s on one)"
         )
@@ -674,17 +673,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         engine = default_engine()
     try:
+        base = _config_from(args, 1)
         predictions = engine.predict_speedups(
             trace,
             args.cpus,
-            base_config=_config_from(args, 1),
+            base_config=base,
             use_cache=not args.no_cache,
         )
         print(f"speed-up prediction for {trace.meta.program}")
         for pred in predictions:
             print(f"  {pred.cpus:>2} CPUs: {pred.speedup:.2f}")
         worst = max(args.cpus)
-        result = predict(trace, _config_from(args, worst))
+        result = predict(trace, base.with_cpus(worst))
         profiles = contention_by_object(result)[:5]
         if profiles:
             print(f"top blocking objects on {worst} CPUs:")

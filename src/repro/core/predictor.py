@@ -57,18 +57,28 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _broadcast_expected_counts(trace: Trace) -> Dict[int, int]:
+#: the records the broadcast heuristic reads; ``compile_trace`` collects
+#: them in its one sweep of the log (a tuple: membership tests identity
+#: first, where a set would call the enum's Python-level ``__hash__``)
+_COND_PRIMITIVES = (
+    Primitive.COND_WAIT, Primitive.COND_TIMEDWAIT, Primitive.COND_BROADCAST
+)
+
+
+def _broadcast_expected_counts(records: List[EventRecord]) -> Dict[int, int]:
     """For every ``cond_broadcast`` call record, the number of threads it
     released in the log.
 
-    Computed by sweeping the global log once, maintaining the set of open
-    condition waits per condition variable; waits that ultimately timed out
-    are not counted (no broadcast released them).
+    *records* are the log's condition-variable records in log order (any
+    other records are ignored).  Swept twice: once for the final status
+    of each wait, once maintaining the set of open condition waits per
+    condition variable; waits that ultimately timed out are not counted
+    (no broadcast released them).
     """
     # final status of each wait, keyed by the identity of its CALL record
     final_status: Dict[int, Status] = {}
     open_calls: Dict[Tuple[int, str], EventRecord] = {}
-    for rec in trace:
+    for rec in records:
         if rec.primitive not in (Primitive.COND_WAIT, Primitive.COND_TIMEDWAIT):
             continue
         key = (int(rec.tid), rec.obj.name if rec.obj else "")
@@ -81,7 +91,7 @@ def _broadcast_expected_counts(trace: Trace) -> Dict[int, int]:
 
     counts: Dict[int, int] = {}
     waiting: Dict[str, set] = {}
-    for rec in trace:
+    for rec in records:
         obj_name = rec.obj.name if rec.obj else ""
         if rec.primitive in (Primitive.COND_WAIT, Primitive.COND_TIMEDWAIT):
             waiters = waiting.setdefault(obj_name, set())
@@ -262,29 +272,43 @@ def _compile_thread(
 
 
 def compile_trace(trace: Trace) -> ReplayPlan:
-    """Compile a recorded trace into a replayable plan (fig. 4 stage)."""
-    broadcast_counts = _broadcast_expected_counts(trace)
-    per_thread = trace.per_thread()
-    if not per_thread:
-        raise TraceError("empty trace")
+    """Compile a recorded trace into a replayable plan (fig. 4 stage).
 
+    One sweep of the log sorts it into per-thread lists and collects the
+    bound flags and the condition-variable records the broadcast
+    heuristic needs.
+    """
+    per_thread: Dict[int, List[EventRecord]] = {}
+    cond_records: List[EventRecord] = []
     bound_flags: Dict[int, bool] = {}
+    thr_create, ret_phase = Primitive.THR_CREATE, Phase.RET
     for rec in trace:
-        if rec.primitive is Primitive.THR_CREATE and rec.is_ret:
+        records = per_thread.get(rec.tid)
+        if records is None:
+            records = per_thread[rec.tid] = []
+        records.append(rec)
+        prim = rec.primitive
+        if prim in _COND_PRIMITIVES:
+            cond_records.append(rec)
+        elif prim is thr_create and rec.phase is ret_phase:
             # the return record carries the created thread's id and the
             # bound flag (live creates don't know the id at call time)
             target = rec.target
             if target is not None:
                 bound_flags[int(target)] = bool(rec.arg)
+    if not per_thread:
+        raise TraceError("empty trace")
+    broadcast_counts = _broadcast_expected_counts(cond_records)
 
     steps: Dict[int, List[Step]] = {}
     meta: Dict[int, ReplayThreadMeta] = {}
     for tid, records in per_thread.items():
-        steps[int(tid)] = _compile_thread(int(tid), records, broadcast_counts)
-        meta[int(tid)] = ReplayThreadMeta(
-            tid=int(tid),
+        tid = int(tid)
+        steps[tid] = _compile_thread(tid, records, broadcast_counts)
+        meta[tid] = ReplayThreadMeta(
+            tid=tid,
             func_name=trace.function_of(tid),
-            bound=bound_flags.get(int(tid), False),
+            bound=bound_flags.get(tid, False),
         )
     if int(MAIN_THREAD_ID) not in steps:
         raise TraceError("trace has no events for the main thread (T1)")
@@ -350,18 +374,9 @@ def predict_speedup(
     convention SPLASH-2 speed-up figures use (the Table 1 harness does
     this).
     """
-    base = base_config or SimConfig()
-    if plan is None:
-        plan = compile_trace(trace)
-    if baseline_us is None:
-        from repro.program.uniexec import uniprocessor_config
-
-        uni = predict(trace, uniprocessor_config(base), plan=plan)
-        baseline_us = uni.makespan_us
-    mp = predict(trace, base.with_cpus(cpus), plan=plan)
-    return SpeedupPrediction(
-        cpus=cpus, uniprocessor_us=baseline_us, makespan_us=mp.makespan_us
-    )
+    return sweep_speedup(
+        trace, [cpus], base_config=base_config, baseline_us=baseline_us, plan=plan
+    )[0]
 
 
 def sweep_speedup(
@@ -370,12 +385,27 @@ def sweep_speedup(
     *,
     base_config: Optional[SimConfig] = None,
     baseline_us: Optional[int] = None,
+    plan: Optional[ReplayPlan] = None,
 ) -> List[SpeedupPrediction]:
-    """Predict speed-ups for several machine sizes from one trace."""
-    plan = compile_trace(trace)
+    """Predict speed-ups for several machine sizes from one trace.
+
+    The trace is compiled once (unless *plan* is given) and the
+    uni-processor baseline replayed once for the whole sweep —
+    :func:`~repro.program.uniexec.uniprocessor_config` drops the CPU
+    count — so n machine sizes cost n + 1 replays.
+    """
+    from repro.program.uniexec import uniprocessor_config
+
+    base = base_config or SimConfig()
+    if plan is None:
+        plan = compile_trace(trace)
+    if baseline_us is None:
+        baseline_us = predict(trace, uniprocessor_config(base), plan=plan).makespan_us
     return [
-        predict_speedup(
-            trace, n, base_config=base_config, plan=plan, baseline_us=baseline_us
+        SpeedupPrediction(
+            cpus=n,
+            uniprocessor_us=baseline_us,
+            makespan_us=predict(trace, base.with_cpus(n), plan=plan).makespan_us,
         )
         for n in cpu_counts
     ]

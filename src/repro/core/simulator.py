@@ -188,21 +188,21 @@ class CompiledThread:
             # the legacy path synthesises Step(0, ThrExit()) when a
             # behaviour runs dry; bake the same sentinel in
             seq.append(Step(0, op_mod.ThrExit()))
-        ops = tuple(s.op for s in seq)
-        self.ops = ops
-        self.works = tuple(s.work_us for s in seq)
-        self.codes = tuple(_OPCODE_OF[type(op)] for op in ops)
-        self.prims = tuple(
+        self.ops = ops = tuple([s.op for s in seq])
+        self.works = tuple([s.work_us for s in seq])
+        types = tuple(map(type, ops))
+        self.codes = tuple(map(_OPCODE_OF.__getitem__, types))
+        self.prims = tuple([
             0 if op.primitive is None else _PRIM_IDX[op.primitive] for op in ops
-        )
-        self.objs = tuple(op.obj for op in ops)
-        self.targets = tuple(Simulator._op_target(op) for op in ops)
+        ])
+        self.objs = tuple([op.obj for op in ops])
+        self.targets = tuple(map(Simulator._op_target, ops))
         # per-step sync slot: 0 = none, j >= 1 indexes slot_specs[j - 1]
         slot_of: Dict[Tuple[int, str], int] = {}
         specs: List[Tuple[int, str]] = []
         slots = []
-        for op in ops:
-            kind = _SYNC_KIND.get(type(op), 0)
+        for op, op_type in zip(ops, types):
+            kind = _SYNC_KIND.get(op_type, 0)
             if kind:
                 key = (kind, op.name)
                 j = slot_of.get(key)
@@ -216,7 +216,7 @@ class CompiledThread:
         self.slot_specs = tuple(specs)
         #: steps whose cost needs the child policy (thr_create, §3.2)
         self.create_idx = tuple(
-            i for i, op in enumerate(ops) if type(op) is op_mod.ThrCreate
+            [i for i, op_type in enumerate(types) if op_type is op_mod.ThrCreate]
         )
         self.n = len(seq)
 

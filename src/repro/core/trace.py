@@ -15,6 +15,7 @@ serialised size).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.errors import TraceError
@@ -23,6 +24,8 @@ from repro.core.ids import MAIN_THREAD_ID, ThreadId
 from repro.core.timebase import US_PER_SECOND
 
 __all__ = ["TraceMeta", "Trace", "TraceStats"]
+
+_time_of = attrgetter("time_us")
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,8 +80,9 @@ class Trace:
         validate: bool = True,
     ) -> None:
         recs = list(records)
-        order = {id(r): i for i, r in enumerate(recs)}
-        recs.sort(key=lambda r: (r.time_us, order[id(r)]))
+        # stable, so ties keep insertion order; on already-ordered input
+        # (every recorder-written log) timsort is one linear pass
+        recs.sort(key=_time_of)
         self._records: Tuple[EventRecord, ...] = tuple(recs)
         self.meta = meta or TraceMeta()
         if validate:

@@ -28,7 +28,7 @@ import io
 import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import LogFormatError
 from repro.core.events import EventRecord, Phase, SourceLocation, Status
@@ -71,7 +71,11 @@ def _decode_source(text: str, lineno: int, line: str = "") -> SourceLocation:
     return SourceLocation(file=unquote(parts[0]), line=src_line, function=unquote(parts[2]))
 
 
-def _record_line(rec: EventRecord, *, posix_names: bool = False) -> str:
+def _record_line(
+    rec: EventRecord, sources: Dict[SourceLocation, str], *, posix_names: bool = False
+) -> str:
+    """One record's log line; *sources* memoises encoded ``src=`` texts
+    across the lines of one serialisation."""
     name = to_posix_name(rec.primitive) if posix_names else rec.primitive.value
     fields = [
         format_us(rec.time_us),
@@ -89,8 +93,12 @@ def _record_line(rec: EventRecord, *, posix_names: bool = False) -> str:
         fields.append(f"arg={rec.arg}")
     if rec.status is not None:
         fields.append(f"status={rec.status.value}")
-    if rec.source is not None:
-        fields.append(f"src={_encode_source(rec.source)}")
+    source = rec.source
+    if source is not None:
+        text = sources.get(source)
+        if text is None:
+            text = sources[source] = _encode_source(source)
+        fields.append(f"src={text}")
     return " ".join(fields)
 
 
@@ -109,8 +117,10 @@ def dumps(trace: Trace, *, posix_names: bool = False) -> str:
         out.write(f"# thread-function: {tid} {urllib.parse.quote(func, safe='')}\n")
     if trace.meta.comment:
         out.write(f"# comment: {trace.meta.comment}\n")
+    # a log names a few dozen call sites; quote each once per dump
+    sources: Dict[SourceLocation, str] = {}
     for rec in trace:
-        out.write(_record_line(rec, posix_names=posix_names))
+        out.write(_record_line(rec, sources, posix_names=posix_names))
         out.write("\n")
     return out.getvalue()
 
@@ -167,10 +177,52 @@ def _parse_obj(text: str, lineno: int, line: str) -> SyncObjectId:
     return SyncObjectId(kind, name)
 
 
+#: EventRecord's optional fields in constructor order, by log attribute key
+_ATTR_SLOTS = {"obj": 0, "obj2": 1, "target": 2, "arg": 3, "status": 4, "src": 5}
+
+#: Per-parse memo: raw attribute token (``obj=mutex:buf``) -> (slot in
+#: ``_ATTR_SLOTS`` order, decoded value).  Owned by one parse, never shared.
+AttrMemo = Dict[str, Tuple[int, object]]
+
+
+def _parse_attr(token: str, lineno: int, line: str) -> Tuple[int, object]:
+    """Decode one ``key=value`` attribute token into (slot, value)."""
+    key, sep, value = token.partition("=")
+    if not sep:
+        raise _fail(f"bad attribute {token!r}", lineno, line, token)
+    slot = _ATTR_SLOTS.get(key)
+    if slot is None:
+        raise _fail(f"unknown attribute key {key!r}", lineno, line, key)
+    if slot <= 1:
+        return slot, _parse_obj(value, lineno, line)
+    if slot == 2:
+        return slot, _parse_tid(value, lineno, line)
+    if slot == 3:
+        try:
+            return slot, int(value)
+        except ValueError as exc:
+            raise _fail(f"bad arg {value!r}", lineno, line, value) from exc
+    if slot == 4:
+        status = _STATUS_BY_NAME.get(value)
+        if status is None:
+            raise _fail(f"unknown status {value!r}", lineno, line, value)
+        return slot, status
+    return slot, _decode_source(value, lineno, line)
+
+
 def _parse_record(
-    line: str, lineno: int, *, on_repair: Optional[RepairHook] = None
+    line: str,
+    lineno: int,
+    memo: AttrMemo,
+    *,
+    on_repair: Optional[RepairHook] = None,
 ) -> EventRecord:
     """Parse one record line.
+
+    Attribute tokens repeat heavily (a log names a few dozen objects and
+    call sites), so each distinct token is decoded once per parse through
+    *memo*; records then share the frozen decoded values.  Only successful
+    decodes are memoised, so every damaged token is still reported.
 
     With ``on_repair`` set (lenient mode), attribute-level damage —
     unknown attribute keys, unparsable attribute values, a negative
@@ -194,51 +246,20 @@ def _parse_record(
     if primitive is None:
         raise _fail(f"unknown primitive {fields[3]!r}", lineno, line, fields[3])
 
-    obj = obj2 = None
-    target = None
-    arg = None
-    status = None
-    source = None
+    attrs: List[object] = [None] * len(_ATTR_SLOTS)
     for token in fields[4:]:
-        key, sep, value = token.partition("=")
-        try:
-            if not sep:
-                raise _fail(f"bad attribute {token!r}", lineno, line, token)
-            if key == "obj":
-                obj = _parse_obj(value, lineno, line)
-            elif key == "obj2":
-                obj2 = _parse_obj(value, lineno, line)
-            elif key == "target":
-                target = _parse_tid(value, lineno, line)
-            elif key == "arg":
-                try:
-                    arg = int(value)
-                except ValueError as exc:
-                    raise _fail(f"bad arg {value!r}", lineno, line, value) from exc
-            elif key == "status":
-                status = _STATUS_BY_NAME.get(value)
-                if status is None:
-                    raise _fail(f"unknown status {value!r}", lineno, line, value)
-            elif key == "src":
-                source = _decode_source(value, lineno, line)
-            else:
-                raise _fail(f"unknown attribute key {key!r}", lineno, line, key)
-        except LogFormatError as exc:
-            if on_repair is None:
-                raise
-            on_repair("skipped-attribute", exc.message)
-    return EventRecord(
-        time_us=time_us,
-        tid=tid,
-        phase=phase,
-        primitive=primitive,
-        obj=obj,
-        obj2=obj2,
-        target=target,
-        arg=arg,
-        status=status,
-        source=source,
-    )
+        decoded = memo.get(token)
+        if decoded is None:
+            try:
+                decoded = _parse_attr(token, lineno, line)
+            except LogFormatError as exc:
+                if on_repair is None:
+                    raise
+                on_repair("skipped-attribute", exc.message)
+                continue
+            memo[token] = decoded
+        attrs[decoded[0]] = decoded[1]
+    return EventRecord(time_us, tid, phase, primitive, *attrs)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -325,6 +346,7 @@ def loads(
 
     acc = _HeaderAcc()
     records: List[EventRecord] = []
+    memo: AttrMemo = {}
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -333,7 +355,7 @@ def loads(
             if line.startswith("#"):
                 _parse_header_line(acc, line, lineno)
                 continue
-            records.append(_parse_record(line, lineno))
+            records.append(_parse_record(line, lineno, memo))
         if not acc.saw_version:
             raise LogFormatError("missing '# vppb-log <version>' header", lineno=1)
     except LogFormatError as exc:

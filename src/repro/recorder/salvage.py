@@ -428,6 +428,7 @@ class SalvageStream:
         self._decoder = codecs.getincrementaldecoder("utf-8")("replace")
         self._acc = logfile._HeaderAcc()
         self._records: List[Tuple[Optional[int], EventRecord]] = []
+        self._memo: logfile.AttrMemo = {}
         self._buffer = ""  # the current, still-incomplete line
         self._lineno = 0
         self._finished = False
@@ -484,9 +485,8 @@ class SalvageStream:
             logfile._parse_header_line(self._acc, line, lineno, on_repair=on_repair)
             return
         try:
-            self._records.append(
-                (lineno, logfile._parse_record(line, lineno, on_repair=on_repair))
-            )
+            record = logfile._parse_record(line, lineno, self._memo, on_repair=on_repair)
+            self._records.append((lineno, record))
         except LogFormatError as exc:
             self._report.add("dropped-unparsable-line", exc.message, lineno)
 

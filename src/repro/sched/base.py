@@ -101,6 +101,12 @@ class SchedulerBackend:
     name: str = ""
     #: semantic version, part of every job fingerprint
     version: int = 0
+    #: True when ``thread_select`` orders candidates by one effective
+    #: priority, best first, and ``find_victim`` only displaces a running
+    #: LWP strictly below the candidate's priority.  A candidate free to
+    #: run on any CPU that fails to place then proves every later one
+    #: fails too, and the mechanism stops the dispatch pass there.
+    priority_monotone: bool = False
 
     sched: "Scheduler"
 

@@ -44,6 +44,9 @@ class SolarisBackend(SchedulerBackend):
 
     name = "solaris"
     version = 1
+    # thread_select sorts by _effective_priority, find_victim displaces
+    # only strictly below it
+    priority_monotone = True
 
     def thread_setrun(self, lwp: "SimLwp", boost: bool) -> None:
         # sleep-return lift (slpret); RT priorities are fixed

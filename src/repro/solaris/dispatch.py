@@ -66,6 +66,13 @@ class DispatchTable:
         if len(entries) != TS_LEVELS:
             raise ValueError(f"dispatch table needs {TS_LEVELS} rows, got {len(entries)}")
         self._entries: List[DispatchEntry] = list(entries)
+        # one tuple per column, so an in-range lookup is a single index
+        # (the scheduler asks on every dispatch pass)
+        self._quantum = tuple(e.quantum_us for e in self._entries)
+        self._tqexp = tuple(e.tqexp for e in self._entries)
+        self._slpret = tuple(e.slpret for e in self._entries)
+        self._maxwait = tuple(e.maxwait_us for e in self._entries)
+        self._lwait = tuple(e.lwait for e in self._entries)
 
     # ------------------------------------------------------------------
     # constructors
@@ -121,35 +128,34 @@ class DispatchTable:
     # lookups / rules
     # ------------------------------------------------------------------
 
-    def entry(self, level: int) -> DispatchEntry:
-        return self._entries[self._clamp(level)]
-
     def entries(self) -> Sequence[DispatchEntry]:
         """All rows, level 0 first (read-only view for serialisation)."""
         return tuple(self._entries)
 
     def quantum_us(self, level: int) -> int:
         """Time slice for an LWP running at *level*."""
-        return self.entry(level).quantum_us
+        return self._quantum[self._clamp(level)]
 
     def after_quantum_expiry(self, level: int) -> int:
         """New priority after the LWP used up its whole quantum (CPU hog
         penalty — it sinks towards the long-quantum levels)."""
-        return self.entry(level).tqexp
+        return self._tqexp[self._clamp(level)]
 
     def after_sleep(self, level: int) -> int:
         """New priority when an LWP wakes from sleep (interactivity boost)."""
-        return self.entry(level).slpret
+        return self._slpret[self._clamp(level)]
 
     def after_starvation(self, level: int) -> int:
         """New priority when the LWP starved past ``maxwait`` on the queue."""
-        return self.entry(level).lwait
+        return self._lwait[self._clamp(level)]
 
     def maxwait_us(self, level: int) -> int:
-        return self.entry(level).maxwait_us
+        return self._maxwait[self._clamp(level)]
 
     @staticmethod
     def _clamp(level: int) -> int:
+        if 0 <= level < TS_LEVELS:
+            return level
         return max(0, min(TS_LEVELS - 1, level))
 
     @staticmethod

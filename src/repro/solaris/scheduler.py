@@ -121,6 +121,7 @@ class Scheduler:
         self._quantum_expire_policy = backend.quantum_expire
         self._quantum_yield = backend.quantum_yield
         self._find_victim = backend.find_victim
+        self._priority_monotone = backend.priority_monotone
         # optional usage-accounting hooks; None (the Solaris case) keeps
         # the stock placement path free of extra calls
         self._on_dispatch = getattr(backend, "on_dispatch", None)
@@ -378,11 +379,18 @@ class Scheduler:
             self._sched_tick(runnable, self.engine.now_us)
             runnable = self._select(runnable)
             placed = False
+            monotone = self._priority_monotone
             for lwp in runnable:
                 cpu = self._find_cpu_for(lwp)
                 if cpu is not None:
                     self._place(lwp, cpu)
                     placed = True
+                    break
+                if monotone and lwp.bound_cpu is None:
+                    # no CPU is idle and none runs an LWP below this one,
+                    # so no later candidate (no higher priority, no more
+                    # CPUs allowed) can place; a failed search has no
+                    # side effects
                     break
             if not placed:
                 if self._on_contention is not None:
